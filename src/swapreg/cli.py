@@ -127,10 +127,9 @@ def _run_from_config(cfg: dict, round_sink: list | None = None):
             raise ConfigError("checkpoints must lie in [1, T]")
         if name in ("alg2", "alg2_preconditioned"):
             john.john_precondition(pset)  # validate support before running
+        adversary = _build_adversary(cfg.get("adversary", {}), lset, T, seed)
     except (KeyError, ValueError, UnsupportedSet, SwapregError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-
-    adversary = _build_adversary(cfg.get("adversary", {}), lset, T, seed)
 
     if name == "alg1":
         traj = engine.run(pset, lset, T, adversary, solver="exact", seed=seed,

@@ -58,6 +58,13 @@ def test_bad_config_json(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_adversary_missing_field_is_config_error(tmp_path, capsys):
+    cfg = dict(MINIMAL, adversary={"name": "movement"})  # "d" is required
+    path = _write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "KeyError" in capsys.readouterr().err
+
+
 def test_run_eval_round_trip(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, MINIMAL)
     out = tmp_path / "out"

@@ -6,11 +6,12 @@ import pytest
 
 from swapreg import engine
 from swapreg.adversary import IidVertexAdversary
+from swapreg.errors import NumericalFailure
 from swapreg.evaluate import (PlayHistory, app_loss_certificate, external_regret,
                               extremal_endomorphism, linear_swap_regret,
                               make_report, max_norm_affine_over_ball,
                               polydim_regret_lower)
-from swapreg.polydim import monomial_map
+from swapreg.polydim import monomial_map, poly_run
 from swapreg.sets import Ball, LinearImage
 
 RNG = np.random.default_rng(31)
@@ -204,6 +205,19 @@ def test_polydim_lower_square_deviation_matches_grid():
             best = max(best, K[0] - float(coef @ K))
     assert value == pytest.approx(best, abs=2e-2)
     assert value >= best - 1e-9
+
+
+@pytest.mark.xfail(raises=NumericalFailure, strict=True,
+                   reason="the cutting-plane LP loses feasibility at a phase-2 refit, "
+                          "also after the strict retry")
+def test_polydim_lower_on_alg3_history_seed2():
+    pset = Ball(math.inf, 2)
+    lset = pset.polar()
+    fm = monomial_map(2, 2)
+    traj = poly_run(pset, lset, 100, IidVertexAdversary(lset, 2), fm, do_iters=6, seed=2)
+    h = PlayHistory(pset, lset, traj.plays, traj.losses, mixtures=traj.mixtures)
+    value, _ = polydim_regret_lower(h, fm, rounds_cap=10, seed=11)
+    assert value >= -1e-9
 
 
 def test_make_report_fields():

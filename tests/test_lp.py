@@ -1,8 +1,12 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
+from swapreg import evaluate, lp
+from swapreg.adversary import CombinedAdversary
+from swapreg.errors import NumericalFailure
 from swapreg.lp import LpProblem, solve_lp
 
 
@@ -108,3 +112,136 @@ def test_feasibility_of_returned_points():
         assert np.all(A @ sol.x - b <= 1e-7)
         assert np.all(np.abs(sol.x) <= 3.0 + 1e-9)
         assert sol.value == pytest.approx(float(c @ sol.x), abs=1e-7)
+
+
+def test_leaving_row_matches_the_sorted_rule():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        m = int(rng.integers(1, 12))
+        colq = rng.choice([0.5, 1.0, 2.0], size=m)  # exact ties in pivot magnitude
+        basis = rng.permutation(40)[:m]
+        ties = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        assert lp._leaving_row(ties, colq, basis, bland=False) == min(
+            ties, key=lambda i: (-colq[i], basis[i]))
+        assert lp._leaving_row(ties, colq, basis, bland=True) == min(
+            ties, key=lambda i: basis[i])
+
+
+def _endomorphism_lp():
+    """The 624-row LP `extremal_endomorphism` solves on the d=3 combined set."""
+    rng = np.random.default_rng(0)
+    w_mat, w_vec = rng.normal(size=(6, 6)), rng.normal(size=6)
+    captured = []
+
+    def capture(problem):
+        captured.append(problem)
+        return solve_lp(problem)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evaluate, "solve_lp", capture)
+        evaluate.extremal_endomorphism(CombinedAdversary.strategy_set(3), w_mat, w_vec)
+    (problem,) = captured
+    assert problem.a_ub.shape[0] == 624
+    return problem
+
+
+def _random_lp(rng, m, n, kind, density):
+    """A sparse LP that is "optimal", "infeasible" or "unbounded" by construction."""
+    a_ub = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+    x0 = rng.uniform(-1.0, 1.0, size=n)
+    slack = rng.uniform(0.0, 1.0, size=m) * (rng.random(m) < 0.7)  # some rows tight
+    a_eq = rng.normal(size=(max(1, m // 5), n)) * (rng.random((max(1, m // 5), n)) < 0.5)
+    c = rng.normal(size=n)
+    bounds = [(-2.0, 2.0)] * n
+    if kind == "unbounded":
+        # raising the free variables in `ray` loosens every inequality, leaves
+        # the equalities alone and lowers the objective without bound
+        ray = rng.choice(n, size=max(1, n // 4), replace=False)
+        a_ub[:, ray] = -np.abs(a_ub[:, ray])
+        a_eq[:, ray] = 0.0
+        c[ray] = -np.abs(c[ray]) - 0.1
+        bounds = [(None, None)] * n
+    b_ub = a_ub @ x0 + slack
+    if kind == "infeasible":
+        a_ub = np.vstack([a_ub, -a_ub[:1]])
+        b_ub = np.append(b_ub, -b_ub[0] - 0.5)
+    return LpProblem(c, a_ub, b_ub, a_eq, a_eq @ x0, bounds)
+
+
+def _random_lps(seed, count, kinds=("optimal", "infeasible", "unbounded")):
+    """`count` LPs below the restricted-pivot size and `count` above it."""
+    rng = np.random.default_rng(seed)
+    small = [_random_lp(rng, int(rng.integers(3, 10)), int(rng.integers(2, 8)),
+                        kinds[k % len(kinds)], 0.3) for k in range(count)]
+    large = [_random_lp(rng, int(rng.integers(120, 180)), int(rng.integers(60, 100)),
+                        kinds[k % len(kinds)], 0.03) for k in range(count)]
+    return small + large
+
+
+def _solve_or_failure(problem):
+    try:
+        return solve_lp(problem)
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+def test_dense_and_restricted_pivots_agree_bitwise(monkeypatch):
+    problems = _random_lps(11, 20) + [_endomorphism_lp()]
+    monkeypatch.setattr(lp, "_RESTRICTED_PIVOT_MIN_ENTRIES", 2 ** 62)
+    dense = [_solve_or_failure(problem) for problem in problems]
+    monkeypatch.setattr(lp, "_RESTRICTED_PIVOT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(lp, "_RESTRICTED_ENTRY_COST", 0)
+    restricted = [_solve_or_failure(problem) for problem in problems]
+    assert {sol.status for sol in dense if not isinstance(sol, str)} == {
+        "optimal", "infeasible", "unbounded"}
+    for a, b in zip(dense, restricted):
+        if isinstance(a, str):  # a NumericalFailure must recur on the other path
+            assert a == b
+            continue
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        assert a.value == b.value
+        assert (a.x is None and b.x is None) or np.array_equal(a.x, b.x)
+
+
+_UNBOUNDED_FAILS = pytest.mark.xfail(
+    raises=NumericalFailure, strict=True,
+    reason="some large sparse unbounded LPs raise NumericalFailure instead of "
+           "returning 'unbounded'")
+
+
+@pytest.mark.parametrize("kind", ["optimal", "infeasible",
+                                  pytest.param("unbounded", marks=_UNBOUNDED_FAILS)])
+def test_matches_highs_on_both_sides_of_the_pivot_gate(kind):
+    optimize = pytest.importorskip("scipy.optimize")
+    highs_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    problems = _random_lps(12, 6, (kind,))
+    if kind == "optimal":
+        problems.append(_endomorphism_lp())
+    for problem in problems:
+        ref = optimize.linprog(problem.objective, problem.a_ub, problem.b_ub, problem.a_eq,
+                               problem.b_eq, bounds=problem.bounds, method="highs")
+        assert highs_status[ref.status] == kind
+        sol = solve_lp(problem)
+        assert sol.status == kind
+        if sol.optimal:
+            assert abs(sol.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+
+def test_strict_retry_logs_a_warning(monkeypatch, caplog):
+    once = lp._solve_lp_once
+
+    def fail_first_nonstrict(problem, tol, strict):
+        if not strict:
+            raise NumericalFailure("injected drift")
+        return once(problem, tol, strict)
+
+    monkeypatch.setattr(lp, "_solve_lp_once", fail_first_nonstrict)
+    problem = LpProblem(np.array([-1.0, -1.0]), a_ub=np.array([[1.0, 1.0]]),
+                        b_ub=np.array([1.0]), bounds=[(0.0, None)] * 2)
+    with caplog.at_level(logging.WARNING, logger="swapreg.lp"):
+        sol = solve_lp(problem)
+    assert sol.optimal and sol.value == pytest.approx(-1.0, abs=1e-9)
+    (record,) = caplog.records
+    assert record.name == "swapreg.lp" and record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "1 constraint rows and 2 variables" in message and "injected drift" in message
