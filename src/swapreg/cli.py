@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import math
@@ -104,7 +105,12 @@ def _eps_to_iters(eps_schedule, base_iters: int, T: int):
     return schedule
 
 
-def _run_from_config(cfg: dict, round_sink: list | None = None):
+def _run_from_config(cfg: dict):
+    """Validate a run config before any round is played.
+
+    Returns (start, adversary, checkpoints, name), where start() runs the
+    configured learner and returns its Trajectory.
+    """
     try:
         pset = set_from_spec(cfg["set"])
         loss_spec = cfg.get("loss_set", "polar")
@@ -128,32 +134,39 @@ def _run_from_config(cfg: dict, round_sink: list | None = None):
         if name in ("alg2", "alg2_preconditioned"):
             john.john_precondition(pset)  # validate support before running
         adversary = _build_adversary(cfg.get("adversary", {}), lset, T, seed)
+
+        exact = False
+        if name == "alg1":
+            exact = True
+            start = functools.partial(engine.run, pset, lset, T, adversary,
+                                      solver="exact", seed=seed)
+        elif name in ("alg2", "alg2_preconditioned"):
+            solver = alg.get("solver", "exact")
+            exact = solver == "exact"
+            start = functools.partial(
+                engine.run_preconditioned, pset, lset, T, adversary, solver=solver,
+                fpl_iters=int(alg.get("iters", 1000)),
+                normalized=alg.get("normalized"), seed=seed)
+        elif name in ("alg4", "alg4_approx"):
+            iters = int(alg.get("iters", 1000))
+            schedule = _eps_to_iters(alg.get("eps_schedule"), iters, T)
+            start = functools.partial(engine.run, pset, lset, T, adversary, solver="fpl",
+                                      fpl_iters=iters, seed=seed,
+                                      fpl_iters_schedule=schedule)
+        elif name in ("alg3", "alg3_poly"):
+            fmap = polydim.monomial_map(pset.dim, int(alg.get("degree", 2)))
+            pset.vertex_array(cap=256)  # poly_step seeds its pool with these
+            start = functools.partial(polydim.poly_run, pset, lset, T, adversary, fmap,
+                                      do_iters=int(alg.get("do_iters", 8)), seed=seed)
+        else:
+            raise ConfigError(f"unknown algorithm {name!r}")
+        if exact:
+            # saddle.solve_exact enumerates both sets (at the default cap)
+            pset.vertex_array()
+            lset.vertex_array()
     except (KeyError, ValueError, UnsupportedSet, SwapregError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-
-    if name == "alg1":
-        traj = engine.run(pset, lset, T, adversary, solver="exact", seed=seed,
-                          round_sink=round_sink)
-    elif name in ("alg2", "alg2_preconditioned"):
-        solver = alg.get("solver", "exact")
-        traj = engine.run_preconditioned(
-            pset, lset, T, adversary, solver=solver,
-            fpl_iters=int(alg.get("iters", 1000)),
-            normalized=alg.get("normalized"), seed=seed, round_sink=round_sink)
-    elif name in ("alg4", "alg4_approx"):
-        iters = int(alg.get("iters", 1000))
-        schedule = _eps_to_iters(alg.get("eps_schedule"), iters, T)
-        traj = engine.run(pset, lset, T, adversary, solver="fpl",
-                          fpl_iters=iters, seed=seed, fpl_iters_schedule=schedule,
-                          round_sink=round_sink)
-    elif name in ("alg3", "alg3_poly"):
-        fmap = polydim.monomial_map(pset.dim, int(alg.get("degree", 2)))
-        traj = polydim.poly_run(pset, lset, T, adversary, fmap,
-                                do_iters=int(alg.get("do_iters", 8)), seed=seed,
-                                round_sink=round_sink)
-    else:
-        raise ConfigError(f"unknown algorithm {name!r}")
-    return traj, adversary, checkpoints, name
+    return start, adversary, checkpoints, name
 
 
 def _write_trajectory_csv(traj, path: Path, truncated: bool = False,
@@ -230,43 +243,24 @@ def _verdict_line(name: str, traj, report=None) -> str:
     return f"2B/√T certificate: {status} margin={_fmt(margin)}"
 
 
-def _flush_partial(out: Path, sink: list):
-    """Write whatever rounds completed before a fault, with a marker row."""
-    cols = ["t", "invariant_value", "game_gap", "game_value", "inst_loss", "cert_norm"]
-    with open(out / "trajectory.csv", "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in sink:
-            fh.write(",".join([str(r.t), _fmt(r.invariant_value), _fmt(r.game_gap),
-                               _fmt(r.game_value), _fmt(r.inst_loss),
-                               _fmt(r.cert_norm)]) + "\n")
-        fh.write("truncated\n")
-    if sink:
-        d = sink[0].p_played.size
-        cols = ["t"] + [f"p_{i + 1}" for i in range(d)] + [f"l_{i + 1}" for i in range(d)]
-        with open(out / "history.csv", "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in sink:
-                fh.write(",".join([str(r.t)] + [_fmt(v) for v in r.p_played]
-                                  + [_fmt(v) for v in r.loss]) + "\n")
-            fh.write("truncated\n")
-
-
 def cmd_run(args) -> int:
-    sink: list = []
-    out = None
     try:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        traj, adversary, checkpoints, name = _run_from_config(cfg, round_sink=sink)
+        start, adversary, checkpoints, name = _run_from_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        traj = start()
     except SwapregError as exc:
-        if out is not None:
-            _flush_partial(out, sink)
+        if exc.partial is not None:
+            _write_trajectory_csv(exc.partial, out / "trajectory.csv", truncated=True,
+                                  adversary=adversary)
+            _write_history_csv(exc.partial, out / "history.csv", truncated=True)
         print(f"runtime fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -12,8 +12,13 @@ Two modes:
   * normalized -- the game is solved on U_{t-1} / (t-1) and the measured
                   duality gap eps_t enters the certificate instead.
 
-The driver records everything needed to evaluate regret and certificates
-after the fact; nothing is estimated from theory when it can be measured.
+`ApproachState` is the accumulator of both this loop, over R^{d x (d+1)},
+and the polynomial loop of `polydim`, over R^{d x D}; `_run_rounds` drives
+either loop and builds its `Trajectory`.  A round that raises a
+`SwapregError` leaves the trajectory of the completed rounds on the
+exception as `partial`.  The driver records everything needed to evaluate
+regret and certificates after the fact; nothing is estimated from theory
+when it can be measured.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdversaryFault, PremiseViolated
+from .errors import AdversaryFault, PremiseViolated, SwapregError
 from .john import JohnDecomposition, Preconditioner, john_precondition
 from .saddle import BilinearGame, SaddlePoint, solve_exact, solve_fpl
 from .sets import ConvexSet, LinearImage
@@ -34,17 +39,14 @@ __all__ = ["Csp", "ApproachState", "RoundLog", "Trajectory", "step", "run",
 
 @dataclass
 class Csp:
-    """A point (l (x) p, l) of the approachability space R^{d x (d+1)}."""
+    """A point (l (x) p, l) of the approachability space R^{d x (d+1)}.
 
-    mat: np.ndarray  # (d, d)
+    In the polynomial loop `mat` holds the first D-1 feature columns and
+    `vec` the constant one.
+    """
+
+    mat: np.ndarray  # (d, d), or (d, D-1)
     vec: np.ndarray  # (d,)
-
-    @classmethod
-    def from_pair(cls, loss: np.ndarray, play: np.ndarray) -> "Csp":
-        return cls(np.outer(loss, play), loss.copy())
-
-    def frob(self) -> float:
-        return math.sqrt(float(np.sum(self.mat ** 2)) + float(np.sum(self.vec ** 2)))
 
 
 def _flat_pair(loss: np.ndarray, play: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -56,23 +58,42 @@ def _flat_pair(loss: np.ndarray, play: np.ndarray, out: np.ndarray) -> np.ndarra
 
 @dataclass
 class ApproachState:
-    """Running accumulator and averages for the approachability loop."""
+    """Running accumulator and averages of an approachability loop.
+
+    Points live in R^{dim x width}: width is d+1 in the linear loop (the
+    default) and the feature dimension D in the polynomial one.
+    """
 
     dim: int
+    width: int | None = None
     t: int = 0
-    U: np.ndarray = field(default=None)          # (d, d+1)
-    kappa_sum: np.ndarray = field(default=None)  # (d, d+1)
-    s_sum: np.ndarray = field(default=None)
-    norm_bound: float = 0.0                      # measured max round norm B
+    U: np.ndarray = field(init=False)
+    kappa_sum: np.ndarray = field(init=False)
+    s_sum: np.ndarray = field(init=False)
+    norm_bound: float = 0.0  # measured max round norm B
 
     def __post_init__(self):
-        d = self.dim
-        if self.U is None:
-            self.U = np.zeros((d, d + 1))
-        if self.kappa_sum is None:
-            self.kappa_sum = np.zeros((d, d + 1))
-        if self.s_sum is None:
-            self.s_sum = np.zeros((d, d + 1))
+        if self.width is None:
+            self.width = self.dim + 1
+        self.U = np.zeros((self.dim, self.width))
+        self.kappa_sum = np.zeros((self.dim, self.width))
+        self.s_sum = np.zeros((self.dim, self.width))
+
+    def accumulate(self, kappa: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+        """Add round t's point kappa_t and target s_t.
+
+        Returns the invariant <U_{t-1}, kappa_t - s_t> and the certificate
+        norm ||U_t|| / t = ||kappa_bar_t - s_bar_t||.
+        """
+        diff = kappa - s
+        invariant_value = float(np.vdot(self.U, diff))
+        self.U += diff
+        self.kappa_sum += kappa
+        self.s_sum += s
+        self.t += 1
+        self.norm_bound = max(self.norm_bound, float(np.linalg.norm(kappa)),
+                              float(np.linalg.norm(s)))
+        return invariant_value, float(np.linalg.norm(self.U)) / self.t
 
     @property
     def kappa_bar(self) -> Csp:
@@ -94,7 +115,6 @@ class RoundLog:
     t: int
     p_played: np.ndarray
     loss: np.ndarray
-    s_target: Csp
     invariant_value: float  # <U_{t-1}, kappa_t - s_t>, raw accumulator units
     game_gap: float         # duality gap of the solved round game
     game_value: float
@@ -183,27 +203,15 @@ def step(state: ApproachState, pset: ConvexSet, lset: ConvexSet, adversary,
         raise AdversaryFault(f"loss at round {t} is outside the loss set")
     kappa_flat = _flat_pair(loss, p_t, np.empty((d, d + 1)))
 
-    diff = kappa_flat - s_flat
-    invariant_value = float(np.vdot(state.U, diff))
+    invariant_value, cert_norm = state.accumulate(kappa_flat, s_flat)
     if normalized and t > 1:
         eps = sp.gap
     else:
         eps = sp.gap / max(t - 1, 1)
-
-    state.U += diff
-    state.kappa_sum += kappa_flat
-    state.s_sum += s_flat
-    state.t = t
-    kappa_norm = float(np.linalg.norm(kappa_flat))
-    s_norm = float(np.linalg.norm(s_flat))
-    state.norm_bound = max(state.norm_bound, kappa_norm, s_norm)
-
-    cert_norm = float(np.linalg.norm(state.U)) / t  # == ||kappa_bar - s_bar||
     return RoundLog(
         t=t,
         p_played=p_t,
         loss=loss,
-        s_target=Csp(s_flat[:, :d].copy(), s_flat[:, d].copy()),
         invariant_value=invariant_value,
         game_gap=sp.gap,
         game_value=sp.value,
@@ -213,56 +221,78 @@ def step(state: ApproachState, pset: ConvexSet, lset: ConvexSet, adversary,
     )
 
 
-def run(pset: ConvexSet, lset: ConvexSet, T: int, adversary,
-        solver: str = "exact", fpl_iters: int = 1000, normalized: bool | None = None,
-        seed: int = 0, fpl_iters_schedule=None, round_sink: list | None = None) -> Trajectory:
-    """Run the approachability loop for T rounds.
+def _run_rounds(pset: ConvexSet, lset: ConvexSet, T: int, state: ApproachState,
+                play_round, mode: str, seed: int, **extra) -> Trajectory:
+    """Call play_round(t) -> RoundLog for t = 1..T and build the Trajectory.
 
-    `normalized` defaults to True for the FPL solver (approximate-equilibria
-    mode) and False for the exact solver.  `fpl_iters_schedule` may map the
-    round index to a per-round iteration budget.  `round_sink`, when given,
-    receives each RoundLog as it completes so callers can flush partial
-    output if a later round faults.
+    `play_round` must call the round function (`step`, `polydim.poly_step`)
+    by its module-level name on every round, so that a replacement installed
+    while the run is going is seen from the next round on.  `extra` holds
+    further Trajectory fields that `play_round` fills round by round.  If a
+    round raises a SwapregError, the Trajectory of the rounds completed
+    before it is attached to the exception as `partial`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if normalized is None:
-        normalized = solver == "fpl"
     d = pset.dim
-    state = ApproachState(d)
-    rng = np.random.default_rng(seed)
     rounds = []
     plays = np.empty((T, d))
     losses = np.empty((T, d))
     eps = np.empty(T)
+
+    def trajectory(n: int) -> Trajectory:
+        return Trajectory(
+            pset=pset, lset=lset, mode=mode, rounds=rounds, plays=plays[:n],
+            losses=losses[:n], kappa_bar=state.kappa_bar, s_bar=state.s_bar,
+            norm_bound=state.norm_bound, eps=eps[:n], state=state, seed=seed, **extra)
+
     for t in range(1, T + 1):
-        iters = fpl_iters if fpl_iters_schedule is None else int(fpl_iters_schedule(t))
-        log = step(state, pset, lset, adversary, solver=solver, fpl_iters=iters,
-                   normalized=normalized, round_seed=int(rng.integers(2 ** 63)))
+        try:
+            log = play_round(t)
+        except SwapregError as exc:
+            exc.partial = trajectory(t - 1)
+            raise
         rounds.append(log)
-        if round_sink is not None:
-            round_sink.append(log)
         plays[t - 1] = log.p_played
         losses[t - 1] = log.loss
         eps[t - 1] = log.eps
-    return Trajectory(
-        pset=pset, lset=lset, mode="normalized" if normalized else "exact",
-        rounds=rounds, plays=plays, losses=losses,
-        kappa_bar=state.kappa_bar, s_bar=state.s_bar,
-        norm_bound=state.norm_bound, eps=eps, state=state, seed=seed,
-    )
+    return trajectory(T)
+
+
+def run(pset: ConvexSet, lset: ConvexSet, T: int, adversary,
+        solver: str = "exact", fpl_iters: int = 1000, normalized: bool | None = None,
+        seed: int = 0, fpl_iters_schedule=None) -> Trajectory:
+    """Run the approachability loop for T rounds.
+
+    `normalized` defaults to True for the FPL solver (approximate-equilibria
+    mode) and False for the exact solver.  `fpl_iters_schedule` may map the
+    round index to a per-round iteration budget.
+    """
+    if normalized is None:
+        normalized = solver == "fpl"
+    state = ApproachState(pset.dim)
+    rng = np.random.default_rng(seed)
+
+    def play_round(t: int) -> RoundLog:
+        iters = fpl_iters if fpl_iters_schedule is None else int(fpl_iters_schedule(t))
+        return step(state, pset, lset, adversary, solver=solver, fpl_iters=iters,
+                    normalized=normalized, round_seed=int(rng.integers(2 ** 63)))
+
+    return _run_rounds(pset, lset, T, state, play_round,
+                       "normalized" if normalized else "exact", seed)
 
 
 def run_preconditioned(pset: ConvexSet, lset: ConvexSet, T: int, adversary,
                        solver: str = "exact", fpl_iters: int = 1000,
                        normalized: bool | None = None, seed: int = 0,
-                       fpl_iters_schedule=None, round_sink: list | None = None) -> Trajectory:
+                       fpl_iters_schedule=None) -> Trajectory:
     """John-position preconditioned loop.
 
     Computes A once so that A P is in John's position, then runs the loop on
     (P', L') = (A P, A^{-T} L) with the transported best-response map; plays
     are mapped back to the source frame before the adversary sees them.
-    Both coordinate frames are recorded.
+    Both coordinate frames are recorded, in the partial trajectory of a
+    faulted run too.
     """
     pre, decomp = john_precondition(pset)
     p_prime_set = pre.target
@@ -280,16 +310,27 @@ def run_preconditioned(pset: ConvexSet, lset: ConvexSet, T: int, adversary,
         originals_l.append(loss)
         return pre.loss_to_target(loss)
 
-    traj = run(p_prime_set, l_prime_set, T, transformed_adversary, solver=solver,
-               fpl_iters=fpl_iters, normalized=normalized, seed=seed,
-               fpl_iters_schedule=fpl_iters_schedule, round_sink=round_sink)
-    traj.preconditioner = pre
-    traj.decomposition = decomp
-    traj.plays_original = np.array(originals_p)
-    traj.losses_original = np.array(originals_l)
-    traj.pset_original = pset
-    traj.lset_original = lset
-    return traj
+    def add_source_frame(traj: Trajectory) -> Trajectory:
+        # A round can pass the check above and still fail the engine's own
+        # check in the target frame, so keep only the completed rounds.
+        n = traj.T
+        traj.preconditioner = pre
+        traj.decomposition = decomp
+        traj.plays_original = np.array(originals_p[:n]).reshape(n, pset.dim)
+        traj.losses_original = np.array(originals_l[:n]).reshape(n, pset.dim)
+        traj.pset_original = pset
+        traj.lset_original = lset
+        return traj
+
+    try:
+        traj = run(p_prime_set, l_prime_set, T, transformed_adversary, solver=solver,
+                   fpl_iters=fpl_iters, normalized=normalized, seed=seed,
+                   fpl_iters_schedule=fpl_iters_schedule)
+    except SwapregError as exc:
+        if exc.partial is not None:
+            add_source_frame(exc.partial)
+        raise
+    return add_source_frame(traj)
 
 
 def pythagorean_check(vectors, bound: float, eps=None,

@@ -2,7 +2,13 @@
 
 
 class SwapregError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    An error raised by a round of an approachability loop carries the
+    Trajectory of the rounds completed before it as `partial`.
+    """
+
+    partial = None
 
 
 class DegenerateSpan(SwapregError):

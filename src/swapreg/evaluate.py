@@ -159,40 +159,53 @@ def _membership_block(target: ConvexSet, C: np.ndarray, c0: np.ndarray) -> dict:
         for f in target.factors:
             blocks.append(_membership_block(f, C[offset:offset + f.dim], c0[offset:offset + f.dim]))
             offset += f.dim
-        n_aux = sum(len(bl["aux_bounds"]) for bl in blocks)
-        rows_ub = sum(bl["aub_x"].shape[0] for bl in blocks)
-        rows_eq = sum(bl["aeq_x"].shape[0] for bl in blocks)
-        aub_x = np.zeros((rows_ub, n_x))
-        aub_a = np.zeros((rows_ub, n_aux))
-        bub = np.zeros(rows_ub)
-        aeq_x = np.zeros((rows_eq, n_x))
-        aeq_a = np.zeros((rows_eq, n_aux))
-        beq = np.zeros(rows_eq)
-        r_ub = r_eq = a_off = 0
-        aux_bounds = []
-        certified = True
-        for bl in blocks:
-            nb = len(bl["aux_bounds"])
-            ru = bl["aub_x"].shape[0]
-            re = bl["aeq_x"].shape[0]
-            aub_x[r_ub:r_ub + ru] = bl["aub_x"]
-            aub_a[r_ub:r_ub + ru, a_off:a_off + nb] = bl["aub_a"]
-            bub[r_ub:r_ub + ru] = bl["bub"]
-            aeq_x[r_eq:r_eq + re] = bl["aeq_x"]
-            aeq_a[r_eq:r_eq + re, a_off:a_off + nb] = bl["aeq_a"]
-            beq[r_eq:r_eq + re] = bl["beq"]
-            aux_bounds.extend(bl["aux_bounds"])
-            certified = certified and bl["certified"]
-            r_ub += ru
-            r_eq += re
-            a_off += nb
-        return dict(aub_x=aub_x, aub_a=aub_a, bub=bub, aeq_x=aeq_x, aeq_a=aeq_a,
-                    beq=beq, aux_bounds=aux_bounds, certified=certified)
+        a_ub, bub, a_eq, beq, bounds, certified = _stack_blocks(blocks, n_x)
+        if a_eq is None:
+            a_eq, beq = np.zeros((0, a_ub.shape[1])), np.zeros(0)
+        return dict(aub_x=a_ub[:, :n_x], aub_a=a_ub[:, n_x:], bub=bub,
+                    aeq_x=a_eq[:, :n_x], aeq_a=a_eq[:, n_x:], beq=beq,
+                    aux_bounds=bounds[n_x:], certified=certified)
 
     if isinstance(target, LinearImage):
         return _membership_block(target.inner, target.inverse @ C, target.inverse @ c0)
 
     raise RepresentationMissing(f"no membership encoding for {type(target).__name__}")
+
+
+def _stack_blocks(blocks: list, n_x: int):
+    """Stack membership blocks that share the variables x into one LP.
+
+    Columns are x first, then each block's auxiliaries in block order.
+    Returns (a_ub, b_ub, a_eq, b_eq, bounds, certified), with a_eq and b_eq
+    None when no block has equality rows.
+    """
+    n_aux = sum(len(bl["aux_bounds"]) for bl in blocks)
+    total = n_x + n_aux
+    rows_ub = sum(bl["aub_x"].shape[0] for bl in blocks)
+    rows_eq = sum(bl["aeq_x"].shape[0] for bl in blocks)
+    a_ub = np.zeros((rows_ub, total))
+    b_ub = np.zeros(rows_ub)
+    a_eq = np.zeros((rows_eq, total)) if rows_eq else None
+    b_eq = np.zeros(rows_eq) if rows_eq else None
+    bounds: list[tuple[float | None, float | None]] = [(None, None)] * n_x
+    r_ub = r_eq = 0
+    a_off = n_x
+    for bl in blocks:
+        nb = len(bl["aux_bounds"])
+        ru = bl["aub_x"].shape[0]
+        re = bl["aeq_x"].shape[0]
+        a_ub[r_ub:r_ub + ru, :n_x] = bl["aub_x"]
+        a_ub[r_ub:r_ub + ru, a_off:a_off + nb] = bl["aub_a"]
+        b_ub[r_ub:r_ub + ru] = bl["bub"]
+        if re:
+            a_eq[r_eq:r_eq + re, :n_x] = bl["aeq_x"]
+            a_eq[r_eq:r_eq + re, a_off:a_off + nb] = bl["aeq_a"]
+            b_eq[r_eq:r_eq + re] = bl["beq"]
+        bounds.extend(bl["aux_bounds"])
+        r_ub += ru
+        r_eq += re
+        a_off += nb
+    return a_ub, b_ub, a_eq, b_eq, bounds, all(bl["certified"] for bl in blocks)
 
 
 def _source_points(pset: ConvexSet) -> tuple[np.ndarray, bool]:
@@ -281,34 +294,9 @@ def extremal_endomorphism(pset: ConvexSet, w_mat: np.ndarray,
                 C[i, d * d + i] = 1.0
         blocks.append(_membership_block(pset, C, np.zeros(d)))
 
-    n_aux = sum(len(bl["aux_bounds"]) for bl in blocks)
-    total = n_x + n_aux
-    rows_ub = sum(bl["aub_x"].shape[0] for bl in blocks)
-    rows_eq = sum(bl["aeq_x"].shape[0] for bl in blocks)
-    a_ub = np.zeros((rows_ub, total))
-    b_ub = np.zeros(rows_ub)
-    a_eq = np.zeros((rows_eq, total)) if rows_eq else None
-    b_eq = np.zeros(rows_eq) if rows_eq else None
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * n_x
-    r_ub = r_eq = 0
-    a_off = n_x
-    for bl in blocks:
-        nb = len(bl["aux_bounds"])
-        ru = bl["aub_x"].shape[0]
-        re = bl["aeq_x"].shape[0]
-        a_ub[r_ub:r_ub + ru, :n_x] = bl["aub_x"]
-        a_ub[r_ub:r_ub + ru, a_off:a_off + nb] = bl["aub_a"]
-        b_ub[r_ub:r_ub + ru] = bl["bub"]
-        if re:
-            a_eq[r_eq:r_eq + re, :n_x] = bl["aeq_x"]
-            a_eq[r_eq:r_eq + re, a_off:a_off + nb] = bl["aeq_a"]
-            b_eq[r_eq:r_eq + re] = bl["beq"]
-        bounds.extend(bl["aux_bounds"])
-        r_ub += ru
-        r_eq += re
-        a_off += nb
+    a_ub, b_ub, a_eq, b_eq, bounds, blocks_certified = _stack_blocks(blocks, n_x)
 
-    objective = np.zeros(total)
+    objective = np.zeros(a_ub.shape[1])
     objective[:d * d] = -w_mat.ravel()
     if include_affine and w_vec is not None:
         objective[d * d:d * d + d] = -np.asarray(w_vec, dtype=float)
@@ -319,7 +307,7 @@ def extremal_endomorphism(pset: ConvexSet, w_mat: np.ndarray,
     M = sol.x[:d * d].reshape(d, d)
     a = sol.x[d * d:d * d + d] if include_affine else np.zeros(d)
 
-    certified = exact_sources and all(bl["certified"] for bl in blocks)
+    certified = exact_sources and blocks_certified
     if not certified and isinstance(pset, Ball) and pset.p == 2.0:
         reach = max_norm_affine_over_ball(M, a, pset.radius)
         certified = reach <= pset.radius + 1e-7
@@ -357,9 +345,7 @@ def external_regret(history: PlayHistory) -> float:
 def app_loss_certificate(trajectory) -> float:
     """||kappa_bar_T - s_bar_T||_F: upper bound on the approachability loss,
     equal to the profile-swap-distance certificate."""
-    kb, sb = trajectory.kappa_bar, trajectory.s_bar
-    return math.sqrt(float(np.sum((kb.mat - sb.mat) ** 2)) +
-                     float(np.sum((kb.vec - sb.vec) ** 2)))
+    return trajectory.certificate
 
 
 def _feature_history(history: PlayHistory, fmap: FeatureMap) -> np.ndarray:
@@ -408,35 +394,11 @@ def polydim_regret_lower(history: PlayHistory, fmap: FeatureMap,
         target = pset.scaled(1.0 - shrink) if shrink > 0 else pset
         blocks = [_membership_block(target, z_expr(fmap.evaluate(q)), np.zeros(d))
                   for q in Qpts]
-        n_x = d * D
-        n_aux = sum(len(bl["aux_bounds"]) for bl in blocks)
-        rows_ub = sum(bl["aub_x"].shape[0] for bl in blocks)
-        rows_eq = sum(bl["aeq_x"].shape[0] for bl in blocks)
-        a_ub = np.zeros((rows_ub, n_x + n_aux))
-        b_ub = np.zeros(rows_ub)
-        a_eq = np.zeros((rows_eq, n_x + n_aux)) if rows_eq else None
-        b_eq = np.zeros(rows_eq) if rows_eq else None
-        bounds: list[tuple[float | None, float | None]] = [(None, None)] * n_x
-        r_ub = r_eq = 0
-        a_off = n_x
-        for bl in blocks:
-            nb = len(bl["aux_bounds"])
-            ru, re = bl["aub_x"].shape[0], bl["aeq_x"].shape[0]
-            a_ub[r_ub:r_ub + ru, :n_x] = bl["aub_x"]
-            a_ub[r_ub:r_ub + ru, a_off:a_off + nb] = bl["aub_a"]
-            b_ub[r_ub:r_ub + ru] = bl["bub"]
-            if re:
-                a_eq[r_eq:r_eq + re, :n_x] = bl["aeq_x"]
-                a_eq[r_eq:r_eq + re, a_off:a_off + nb] = bl["aeq_a"]
-                b_eq[r_eq:r_eq + re] = bl["beq"]
-            bounds.extend(bl["aux_bounds"])
-            r_ub += ru
-            r_eq += re
-            a_off += nb
+        a_ub, b_ub, a_eq, b_eq, bounds, _ = _stack_blocks(blocks, d * D)
         sol = solve_lp(LpProblem(K.ravel(), a_ub, b_ub, a_eq, b_eq, bounds))
         if not sol.optimal:
             raise SolverFailure(f"polydim LP status {sol.status}")
-        return sol.x[:n_x].reshape(d, D)
+        return sol.x[:d * D].reshape(d, D)
 
     def probe_certified(M: np.ndarray) -> bool:
         pts = pset.sample(rng, n_probe)

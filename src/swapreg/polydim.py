@@ -6,6 +6,10 @@ coordinates are p itself and whose last coordinate is the constant 1.  The
 per-round minimax over Delta(P) x L is approximated by a double oracle on a
 growing candidate pool, with the achieved closure residual folded into the
 measured eps_t so all certificates remain honest.
+
+The accumulator, the round driver and the Trajectory are the linear loop's
+(`engine.ApproachState`, `engine._run_rounds`), with the state widened to
+D columns; `PolyState` adds only the candidate pool.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Csp, RoundLog, Trajectory
+from .engine import ApproachState, RoundLog, Trajectory, _run_rounds
 from .errors import (AdversaryFault, DimBlowup, MembershipViolation,
                      RepresentationMissing, VertexBlowup)
 from .saddle import solve_matrix_game
@@ -93,25 +97,12 @@ class MixedStrategy:
 
 
 @dataclass
-class PolyState:
-    dim: int
-    feat_dim: int
-    t: int = 0
-    U: np.ndarray = field(default=None)
-    kappa_sum: np.ndarray = field(default=None)
-    s_sum: np.ndarray = field(default=None)
+class PolyState(ApproachState):
+    """Accumulator over R^{d x D} (`PolyState(d, D)`) plus the candidate pool."""
+
     pool: list = field(default_factory=list)           # candidate points in P
     pool_feats: list = field(default_factory=list)     # cached m(q)
     pool_weight: list = field(default_factory=list)    # cumulative mixture mass
-    norm_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.U is None:
-            self.U = np.zeros((self.dim, self.feat_dim))
-        if self.kappa_sum is None:
-            self.kappa_sum = np.zeros((self.dim, self.feat_dim))
-        if self.s_sum is None:
-            self.s_sum = np.zeros((self.dim, self.feat_dim))
 
     def add_candidate(self, q: np.ndarray, fmap: FeatureMap, dedupe_tol: float = 1e-9) -> int:
         for i, existing in enumerate(self.pool):
@@ -205,7 +196,7 @@ def poly_step(state: PolyState, pset: ConvexSet, lset: ConvexSet, fmap: FeatureM
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    d, D = state.dim, state.feat_dim
+    d = state.dim
     t = state.t + 1
     U = state.U
 
@@ -264,25 +255,16 @@ def poly_step(state: PolyState, pset: ConvexSet, lset: ConvexSet, fmap: FeatureM
         raise AdversaryFault(f"loss at round {t} is outside the loss set")
     kappa_flat = np.outer(loss, m_bar_mix)
 
-    diff = kappa_flat - s_flat
-    invariant_value = float(np.vdot(U, diff))
+    invariant_value, cert_norm = state.accumulate(kappa_flat, s_flat)
     eps = (max(invariant_value, 0.0) + max(residual, 0.0)) / max(t - 1, 1)
 
-    state.U = U + diff
-    state.kappa_sum += kappa_flat
-    state.s_sum += s_flat
-    state.t = t
-    state.norm_bound = max(state.norm_bound, float(np.linalg.norm(kappa_flat)),
-                           float(np.linalg.norm(s_flat)))
     # track historical mixture mass for pool eviction
     for local_i, pool_i in enumerate(support_idx):
         state.pool_weight[int(pool_i)] += float(mix.weights[local_i])
     state.evict_to(pool_cap, set(int(i) for i in support_idx))
 
-    cert_norm = float(np.linalg.norm(state.U)) / t
     log = RoundLog(
         t=t, p_played=p_play, loss=loss,
-        s_target=Csp(s_flat[:, :-1].copy(), s_flat[:, -1].copy()),
         invariant_value=invariant_value, game_gap=residual, game_value=game_value,
         eps=eps, inst_loss=float(loss @ p_play), cert_norm=cert_norm,
     )
@@ -291,32 +273,18 @@ def poly_step(state: PolyState, pset: ConvexSet, lset: ConvexSet, fmap: FeatureM
 
 def poly_run(pset: ConvexSet, lset: ConvexSet, T: int, adversary, fmap: FeatureMap,
              do_iters: int = 8, seed: int = 0, pool_cap: int = 256,
-             sample_play: bool = False, round_sink: list | None = None) -> Trajectory:
+             sample_play: bool = False) -> Trajectory:
     """Full mixed-strategy trajectory; same certificate contract as `run`."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    d, D = pset.dim, fmap.D
-    state = PolyState(d, D)
+    state = PolyState(pset.dim, fmap.D)
     rng = np.random.default_rng(seed)
-    rounds, mixtures, pool_sizes = [], [], []
-    plays = np.empty((T, d))
-    losses = np.empty((T, d))
-    eps = np.empty(T)
-    for t in range(1, T + 1):
+    mixtures, pool_sizes = [], []
+
+    def play_round(t: int) -> RoundLog:
         log, mix = poly_step(state, pset, lset, fmap, adversary, do_iters=do_iters,
                              rng=rng, pool_cap=pool_cap, sample_play=sample_play)
-        rounds.append(log)
-        if round_sink is not None:
-            round_sink.append(log)
         mixtures.append(mix)
         pool_sizes.append(len(state.pool))
-        plays[t - 1] = log.p_played
-        losses[t - 1] = log.loss
-        eps[t - 1] = log.eps
-    kappa_bar = Csp(state.kappa_sum[:, :-1] / T, state.kappa_sum[:, -1] / T)
-    s_bar = Csp(state.s_sum[:, :-1] / T, state.s_sum[:, -1] / T)
-    return Trajectory(
-        pset=pset, lset=lset, mode="poly", rounds=rounds, plays=plays, losses=losses,
-        kappa_bar=kappa_bar, s_bar=s_bar, norm_bound=state.norm_bound, eps=eps,
-        state=state, seed=seed, mixtures=mixtures, pool_sizes=pool_sizes,
-    )
+        return log
+
+    return _run_rounds(pset, lset, T, state, play_round, "poly", seed,
+                       mixtures=mixtures, pool_sizes=pool_sizes)

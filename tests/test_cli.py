@@ -58,13 +58,6 @@ def test_bad_config_json(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_adversary_missing_field_is_config_error(tmp_path, capsys):
-    cfg = dict(MINIMAL, adversary={"name": "movement"})  # "d" is required
-    path = _write_config(tmp_path, cfg)
-    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert "KeyError" in capsys.readouterr().err
-
-
 def test_run_eval_round_trip(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -151,18 +144,59 @@ def test_checkpoints_csv(tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "4", "16"]
 
 
-def test_runtime_fault_flushes_partial_output(tmp_path, capsys):
-    # replay adversary emits an invalid loss at round 6 of 10
-    losses = [[0.5, 0.0]] * 5 + [[3.0, 0.0]] + [[0.5, 0.0]] * 4
-    cfg = dict(MINIMAL)
-    cfg["adversary"] = {"name": "replay", "losses": losses}
+L2_DISK = {"type": "ball", "p": 2, "dim": 2}
+
+
+@pytest.mark.parametrize("change, code, message", [
+    ({}, 0, ""),
+    ({"adversary": {"name": "movement"}}, 2, "KeyError"),  # "d" is required
+    ({"algorithm": {"name": "alg9"}}, 2, "unknown algorithm"),
+    # the exact round games and the polynomial loop enumerate vertices
+    ({"set": L2_DISK, "algorithm": {"name": "alg1"}}, 2, "RepresentationMissing"),
+    ({"set": L2_DISK, "algorithm": {"name": "alg2", "solver": "exact"}}, 2,
+     "RepresentationMissing"),
+    ({"set": L2_DISK, "algorithm": {"name": "alg3"}}, 2, "RepresentationMissing"),
+    ({"algorithm": {"name": "alg3", "degree": 40}}, 2, "DimBlowup"),
+    ({"adversary": {"name": "replay", "losses": [[2.0, 0.0]] * 5}}, 3, "AdversaryFault"),
+], ids=["ok", "missing_adversary_field", "unknown_algorithm", "l2_ball_alg1",
+        "l2_ball_alg2_exact", "l2_ball_alg3", "feature_map_too_large",
+        "loss_outside_set"])
+def test_run_exit_codes(tmp_path, capsys, change, code, message):
+    cfg = dict(MINIMAL, T=5, adversary={"name": "replay", "losses": [[0.5, 0.0]] * 5})
+    cfg.update(change)
     path = _write_config(tmp_path, cfg)
-    out = tmp_path / "o"
-    code = main(["run", "--config", path, "--out", str(out)])
-    assert code == 3
-    rows = (out / "trajectory.csv").read_text().strip().splitlines()
-    assert rows[-1] == "truncated"
-    assert len(rows) == 7  # header + 5 completed rounds + marker
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
+
+
+STRETCHED_BOX = {"type": "linear_image", "matrix": [[2.0, 0.0], [0.0, 0.5]],
+                 "inner": {"type": "ball", "p": "inf", "dim": 2}}
+
+
+@pytest.mark.parametrize("pset, algorithm", [
+    (MINIMAL["set"], {"name": "alg1"}),
+    # not in John position, so its history must be mapped back to the source frame
+    (STRETCHED_BOX, {"name": "alg2"}),
+    (MINIMAL["set"], {"name": "alg3", "degree": 2, "do_iters": 4}),
+], ids=["alg1_cube", "alg2_stretched_box", "alg3_cube"])
+def test_runtime_fault_flushes_partial_output(tmp_path, capsys, pset, algorithm):
+    # the replay adversary emits a loss outside L at round 6 of 10
+    good = [[0.5, 0.0], [0.0, -0.5], [-0.25, 0.25], [0.5, 0.0], [0.0, 0.5]]
+    cfg = dict(MINIMAL, set=pset, algorithm=algorithm)
+    cfg["adversary"] = {"name": "replay", "losses": good + [[3.0, 0.0]] + good[:4]}
+    out = tmp_path / "partial"
+    assert main(["run", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    cfg.update(T=5, adversary={"name": "replay", "losses": good})
+    full = tmp_path / "full"
+    assert main(["run", "--config", _write_config(tmp_path, cfg, "full.json"),
+                 "--out", str(full)]) == 0
+
+    full_history = (full / "history.csv").read_text()
+    assert (out / "history.csv").read_text() == full_history + "truncated\n"
+    partial_rows = (out / "trajectory.csv").read_text().splitlines()
+    full_rows = (full / "trajectory.csv").read_text().splitlines()
+    assert partial_rows[:2] == full_rows[:2]  # comment line and header
+    assert partial_rows[2:] == full_rows[2:] + ["truncated"]
 
 
 def test_lowerbound_preset(tmp_path, capsys):

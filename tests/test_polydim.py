@@ -104,6 +104,7 @@ def test_poly_run_certificate_and_mixtures():
     traj = poly_run(pset, lset, 120, IidVertexAdversary(lset, 3), fm,
                     do_iters=6, seed=1)
     assert traj.certificate <= traj.certificate_bound + 1e-9
+    assert traj.state.consistency_error() <= 1e-8
     assert max(traj.pool_sizes) <= 256
     for mix in traj.mixtures:
         assert mix.weights.min() >= -1e-12
