@@ -276,7 +276,7 @@ def cmd_run(args) -> int:
         report = evaluate.make_report(hist, traj)
         (out / "report.json").write_text(json.dumps(_report_dict(report), indent=2))
         print(_verdict_line(name, traj, report))
-    except SwapregError as exc:
+    except (SwapregError, ValueError) as exc:  # ValueError: the history check failed
         print(f"runtime fault during evaluation: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_RUNTIME

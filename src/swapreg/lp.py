@@ -18,6 +18,12 @@ row and column are dense, update the whole tableau, which is cheaper there.
 Both paths compute each changed entry with the same two roundings, so pivots
 and results are bit-identical whichever runs (only the sign of an unchanged
 zero may differ).
+
+An optimal solution also carries the duals (marginals) of the `a_ub` rows
+and then the `a_eq` rows, in scipy's sign convention: d value / d b, hence
+<= 0 on `<=` rows.  They are read from the phase-2 reduced costs of each
+row's identity column (its slack, or its artificial) in the verified final
+tableau: one vector-matrix product, no extra factorization.
 """
 
 from __future__ import annotations
@@ -104,6 +110,7 @@ class LpSolution:
     x: np.ndarray | None = None
     value: float | None = None
     iterations: int = 0
+    duals: np.ndarray | None = None  # a_ub rows, then a_eq rows; set when optimal
 
     @property
     def optimal(self) -> bool:
@@ -204,7 +211,8 @@ def _solve_lp_once(problem: LpProblem, tol: LpTolerances, strict: bool) -> LpSol
     rows_a: list[np.ndarray] = []
     rows_b: list[float] = []
     row_kind: list[str] = []
-    if problem.a_ub is not None and problem.a_ub.shape[0]:
+    n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
+    if n_ub:
         aub = expand(problem.a_ub)
         bub = problem.b_ub - offset(problem.a_ub)
         for i in range(aub.shape[0]):
@@ -242,7 +250,7 @@ def _solve_lp_once(problem: LpProblem, tol: LpTolerances, strict: bool) -> LpSol
                 x[j] = hi
             else:
                 x[j] = min(max(0.0, lo), hi)
-        return LpSolution("optimal", x, float(problem.objective @ x))
+        return LpSolution("optimal", x, float(problem.objective @ x), duals=np.zeros(0))
 
     A = np.vstack(rows_a)
     b = np.array(rows_b)
@@ -261,8 +269,10 @@ def _solve_lp_once(problem: LpProblem, tol: LpTolerances, strict: bool) -> LpSol
     total = col_count + n_slack
 
     # Flip rows to make b >= 0 (flipping a ub row makes its slack -1).
+    row_sign = np.ones(m)
     for i in range(m):
         if b[i] < 0:
+            row_sign[i] = -1.0
             A[i] *= -1.0
             b[i] *= -1.0
             if slack_col_of_row[i] >= 0:
@@ -284,6 +294,7 @@ def _solve_lp_once(problem: LpProblem, tol: LpTolerances, strict: bool) -> LpSol
     if art_data:
         A = np.hstack([A, np.column_stack(art_data)])
     basis = np.array(basis)
+    identity_col = basis.copy()  # the +e_i column of each (flipped) row
     n_art = len(art_cols)
     width = total + n_art
 
@@ -460,6 +471,13 @@ def _solve_lp_once(problem: LpProblem, tol: LpTolerances, strict: bool) -> LpSol
     else:
         raise NumericalFailure("could not verify an optimal basis")
 
+    # y_i = c_B B^{-1} e_i of the (flipped) row is the entry of c_B B^{-1} A_std
+    # (minus the reduced cost) at its +e_i column, whose cost is 0; unflipping
+    # multiplies by the row's sign.  A dropped redundant row keeps the dual 0.
+    duals_std = np.zeros(len(row_kind))
+    duals_std[live_rows] = row_sign[live_rows] * (cost2[basis] @ A)[identity_col[live_rows]]
+    duals = np.concatenate([duals_std[:n_ub], duals_std[n_ub + len(extra_ub_rows):]])
+
     x = np.zeros(n)
     for j, spec in enumerate(cols):
         if spec[0] == "split":
@@ -468,4 +486,4 @@ def _solve_lp_once(problem: LpProblem, tol: LpTolerances, strict: bool) -> LpSol
             x[j] = spec[2] + z[spec[1]]
         else:
             x[j] = spec[2] - z[spec[1]]
-    return LpSolution("optimal", x, float(problem.objective @ x), total_iters)
+    return LpSolution("optimal", x, float(problem.objective @ x), total_iters, duals)

@@ -2,9 +2,10 @@
 
 The game is  min_{p in P} max_{l in L}  l @ (U_mat p + U_vec),  the payoff
 of the running accumulator against a strategy/response pair.  `solve_exact`
-enumerates vertices and solves the induced matrix game by LP; `solve_fpl`
-runs Follow-the-Perturbed-Leader for both players using only linear
-optimization oracles and reports the exactly measured duality gap.
+enumerates vertices and solves the induced matrix game by one LP, whose
+duals give the loss player's mixture; `solve_fpl` runs
+Follow-the-Perturbed-Leader for both players using only linear optimization
+oracles and reports the exactly measured duality gap.
 """
 
 from __future__ import annotations
@@ -77,9 +78,13 @@ def duality_gap(game: BilinearGame, p: np.ndarray, l: np.ndarray,
 def solve_matrix_game(payoff: np.ndarray):
     """Zero-sum matrix game: row player maximizes, column player minimizes.
 
-    Returns (row_mix, col_mix, value).  Deterministic (Bland LPs on the
-    payoff normalized by its largest magnitude); used by the exact saddle
-    solver and by the restricted games of the double oracle.
+    Returns (row_mix, col_mix, value).  One deterministic LP on the payoff
+    normalized by its largest magnitude and shifted to entries >= 1:
+    max 1.w s.t. A w <= 1, w >= 0 starts from the slack basis (no phase 1);
+    the column mixture is w / sum(w) and the row mixture the normalized
+    duals.  Both are certified by the gap max(G col) - min(row G) on the
+    unnormalized payoff.  Used by the exact saddle solver and by the
+    restricted games of the double oracle.
     """
     G = np.asarray(payoff, dtype=float)
     n_row, n_col = G.shape
@@ -91,30 +96,19 @@ def solve_matrix_game(payoff: np.ndarray):
         col[0] = 1.0
         return row, col, 0.0
     Gn = G / scale
-
-    # column player: min v st Gn x <= v 1, sum x = 1, x >= 0
-    obj = np.zeros(n_col + 1)
-    obj[-1] = 1.0
-    a_ub = np.hstack([Gn, -np.ones((n_row, 1))])
-    a_eq = np.zeros((1, n_col + 1))
-    a_eq[0, :n_col] = 1.0
-    sol_c = solve_lp(LpProblem(obj, a_ub, np.zeros(n_row), a_eq, np.array([1.0]),
-                               bounds=[(0.0, None)] * n_col + [(None, None)]))
-    # row player: max w st Gn^T y >= w 1, sum y = 1, y >= 0
-    obj = np.zeros(n_row + 1)
-    obj[-1] = -1.0
-    a_ub = np.hstack([-Gn.T, np.ones((n_col, 1))])
-    a_eq = np.zeros((1, n_row + 1))
-    a_eq[0, :n_row] = 1.0
-    sol_r = solve_lp(LpProblem(obj, a_ub, np.zeros(n_col), a_eq, np.array([1.0]),
-                               bounds=[(0.0, None)] * n_row + [(None, None)]))
-    if not (sol_c.optimal and sol_r.optimal):
+    shift = 1.0 - float(Gn.min())
+    sol = solve_lp(LpProblem(-np.ones(n_col), Gn + shift, np.ones(n_row),
+                             bounds=[(0.0, None)] * n_col))
+    if not sol.optimal:
         raise SolverFailure("matrix game LP did not reach optimality")
-    value_c = sol_c.value * scale
-    value_r = -sol_r.value * scale
-    if abs(value_c - value_r) > 1e-7 * max(1.0, scale):
-        raise SolverFailure(f"minimax values disagree: {value_c} vs {value_r}")
-    return sol_r.x[:n_row], sol_c.x[:n_col], value_c
+    w = np.maximum(sol.x, 0.0)
+    u = np.maximum(-sol.duals, 0.0)
+    col = w / w.sum()
+    row = u / u.sum()
+    gap = float((G @ col).max() - (row @ G).min())
+    if gap > 1e-7 * max(1.0, scale):
+        raise SolverFailure(f"matrix game mixtures not certified: gap {gap}")
+    return row, col, (1.0 / w.sum() - shift) * scale
 
 
 def solve_exact(game: BilinearGame, cap: int = 10_000) -> SaddlePoint:

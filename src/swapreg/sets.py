@@ -9,6 +9,7 @@ among optimal vertices, the one earliest in the canonical vertex order wins.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +35,25 @@ def _check_direction(c: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(c).all():
         raise ValueError("direction must be finite")
     return c
+
+
+def _memoized_vertices(method):
+    """Compute a set's vertex array once per cap and hand out the same
+    read-only array afterwards.  The sets are immutable, so the array cannot
+    go stale; VertexBlowup and RepresentationMissing are raised again on
+    every call, never cached."""
+    @functools.wraps(method)
+    def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
+        memo = self.__dict__.get("_vertex_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_vertex_memo", memo)
+        if cap not in memo:
+            verts = method(self, cap)
+            verts.setflags(write=False)
+            memo[cap] = verts
+        return memo[cap]
+    return vertex_array
 
 
 class ConvexSet:
@@ -179,6 +199,7 @@ class Ball(ConvexSet):
         q = {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}[self.p]
         return Ball(q, self.dim, 1.0 / self.radius)
 
+    @_memoized_vertices
     def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
         r, d = self.radius, self.dim
         if self.p == 1.0:
@@ -245,6 +266,7 @@ class Simplex(ConvexSet):
             return False
         return bool(x.min() >= -tol and x.sum() <= 1.0 + tol)
 
+    @_memoized_vertices
     def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
         return np.vstack([np.zeros(self.dim), np.eye(self.dim)])
 
@@ -345,6 +367,7 @@ class VPolytope(ConvexSet):
                                  bounds=[(0.0, None)] * m + [(None, None)]))
         return float(-sol.value) if sol.optimal else -1.0
 
+    @_memoized_vertices
     def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
         if self.vertices.shape[0] > cap:
             raise VertexBlowup("vertex count exceeds cap")
@@ -425,6 +448,7 @@ class HPolytope(ConvexSet):
     def hrep(self) -> tuple[np.ndarray, np.ndarray]:
         return self.normals.copy(), self.offsets.copy()
 
+    @_memoized_vertices
     def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
         verts = _enumerate_hpoly_vertices(self.normals, self.offsets)
         if verts.shape[0] > cap:
@@ -536,6 +560,7 @@ class Product(ConvexSet):
         k = len(self.factors)
         return Product(tuple(f.polar().scaled(1.0 / k) for f in self.factors))
 
+    @_memoized_vertices
     def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
         factor_verts = [f.vertex_array(cap) for f in self.factors]
         count = 1
@@ -628,6 +653,7 @@ class LinearImage(ConvexSet):
     def polar(self) -> "LinearImage":
         return LinearImage(self._inv.T, self.inner.polar())
 
+    @_memoized_vertices
     def vertex_array(self, cap: int = VERTEX_CAP) -> np.ndarray:
         return self.inner.vertex_array(cap) @ self.matrix.T
 

@@ -158,9 +158,14 @@ L2_DISK = {"type": "ball", "p": 2, "dim": 2}
     ({"set": L2_DISK, "algorithm": {"name": "alg3"}}, 2, "RepresentationMissing"),
     ({"algorithm": {"name": "alg3", "degree": 40}}, 2, "DimBlowup"),
     ({"adversary": {"name": "replay", "losses": [[2.0, 0.0]] * 5}}, 3, "AdversaryFault"),
+    # under the polar loss set of a non-symmetric polytope |<l, p>| <= 1 fails,
+    # which the history check finds after the last round
+    ({"set": {"type": "vpolytope", "vertices": [[1, 0], [0, 1], [-1, -0.5], [0.3, -1]]},
+      "adversary": {"name": "iid_vertex"}, "T": 20, "seed": 1}, 3,
+     "runtime fault during evaluation: ValueError: pairing bound violated"),
 ], ids=["ok", "missing_adversary_field", "unknown_algorithm", "l2_ball_alg1",
         "l2_ball_alg2_exact", "l2_ball_alg3", "feature_map_too_large",
-        "loss_outside_set"])
+        "loss_outside_set", "history_check_fails"])
 def test_run_exit_codes(tmp_path, capsys, change, code, message):
     cfg = dict(MINIMAL, T=5, adversary={"name": "replay", "losses": [[0.5, 0.0]] * 5})
     cfg.update(change)

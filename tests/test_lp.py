@@ -8,6 +8,7 @@ from swapreg import evaluate, lp
 from swapreg.adversary import CombinedAdversary
 from swapreg.errors import NumericalFailure
 from swapreg.lp import LpProblem, solve_lp
+from swapreg.saddle import solve_matrix_game
 
 
 def test_box_minimum():
@@ -225,6 +226,64 @@ def test_matches_highs_on_both_sides_of_the_pivot_gate(kind):
         assert sol.status == kind
         if sol.optimal:
             assert abs(sol.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+
+def test_duals_match_highs_marginals():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(21)
+    flipped_tight = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 9))
+        a_ub = rng.normal(size=(m, n))
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        b_ub = a_ub @ x0 + rng.uniform(0.05, 1.0, size=m)  # some b_ub < 0
+        n_eq = int(rng.integers(0, n))  # fewer equalities than variables
+        a_eq = rng.normal(size=(n_eq, n)) if n_eq else None
+        b_eq = a_eq @ x0 if n_eq else None
+        # two-sided, one-sided and free variables
+        bounds = [(lo if rng.random() < 0.7 else None, hi if rng.random() < 0.7 else None)
+                  for lo, hi in zip(rng.uniform(-3.0, -1.5, n), rng.uniform(1.5, 3.0, n))]
+        c = rng.normal(size=n)
+        ref = optimize.linprog(c, a_ub, b_ub, a_eq, b_eq, bounds=bounds, method="highs")
+        sol = solve_lp(LpProblem(c, a_ub, b_ub, a_eq, b_eq, bounds))
+        if ref.status == 3:
+            assert sol.status == "unbounded"
+            continue
+        assert ref.status == 0 and sol.optimal
+        expected = np.concatenate([ref.ineqlin.marginals,
+                                   ref.eqlin.marginals if n_eq else []])
+        assert sol.duals.shape == expected.shape
+        assert np.abs(sol.duals - expected).max() <= 1e-7
+        flipped_tight += int(np.any((b_ub < 0) & (expected[:m] < -1e-6)))
+    assert flipped_tight >= 10  # the sign flip of rows with b < 0 is exercised
+
+
+@pytest.mark.parametrize("shape, kind", [
+    ((1, 5), "normal"), ((5, 1), "normal"), ((4, 6), "constant"),
+    ((6, 4), "negative"), ((7, 7), "normal"), ((3, 9), "tiny"), ((9, 3), "huge"),
+])
+def test_matrix_games_match_highs(shape, kind):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(10 * shape[0] + shape[1])
+    for _ in range(20):
+        G = {"normal": rng.normal(size=shape), "constant": np.full(shape, rng.normal()),
+             "negative": -rng.uniform(0.5, 2.0, size=shape),
+             "tiny": 1e-6 * rng.normal(size=shape),
+             "huge": 1e4 * rng.normal(size=shape)}[kind]
+        row, col, value = solve_matrix_game(G)
+        n_row, n_col = shape
+        # min v s.t. G x <= v, sum x = 1, x >= 0
+        ref = optimize.linprog(np.r_[np.zeros(n_col), 1.0], np.c_[G, -np.ones(n_row)],
+                               np.zeros(n_row), np.r_[np.ones(n_col), 0.0][None], [1.0],
+                               bounds=[(0.0, None)] * n_col + [(None, None)],
+                               method="highs")
+        scale = max(1.0, float(np.abs(G).max()))
+        assert abs(value - ref.fun) <= 1e-9 * scale
+        for mix in (row, col):
+            assert mix.min() >= 0.0 and mix.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (G @ col).max() <= value + 1e-9 * scale
+        assert (row @ G).min() >= value - 1e-9 * scale
 
 
 def test_strict_retry_logs_a_warning(monkeypatch, caplog):

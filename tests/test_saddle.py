@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from swapreg import saddle
 from swapreg.errors import MembershipViolation
-from swapreg.saddle import BilinearGame, duality_gap, solve_exact, solve_fpl
+from swapreg.saddle import (BilinearGame, duality_gap, solve_exact, solve_fpl,
+                            solve_matrix_game)
 from swapreg.sets import Ball, Product
 
 RNG = np.random.default_rng(11)
@@ -108,8 +110,8 @@ def test_scale_invariance_of_solutions():
 
 
 def test_minimax_exchangeability():
-    # value from the min-max LP equals value from the max-min LP
-    from swapreg.saddle import solve_matrix_game
+    # the column mixture (primal) and row mixture (duals) of the one game LP
+    # both attain the reported value
     for _ in range(10):
         G = RNG.normal(size=(RNG.integers(2, 6), RNG.integers(2, 6)))
         row, col, value = solve_matrix_game(G)
@@ -129,3 +131,24 @@ def test_exact_on_product_sets():
     assert sp.gap <= 1e-7
     approx = solve_fpl(game, 20_000, 3)
     assert abs(approx.value - sp.value) <= 0.05 * max(1.0, abs(sp.value))
+
+
+def test_one_lp_per_matrix_game(monkeypatch):
+    problems = []
+    solve = saddle.solve_lp
+
+    def spy(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(saddle, "solve_lp", spy)
+    rng = np.random.default_rng(3)
+    games = [rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+             for _ in range(10)]
+    for G in games:
+        solve_matrix_game(G)
+    assert len(problems) == len(games)
+    for problem, G in zip(problems, games):
+        # the shifted game LP starts feasible at the slack basis: no phase 1
+        assert problem.a_eq is None and problem.a_ub.shape == G.shape
+        assert np.all(problem.b_ub > 0)

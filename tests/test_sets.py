@@ -106,6 +106,28 @@ def test_vertex_blowup():
         Product((Ball(math.inf, 8), Ball(math.inf, 8))).vertex_array(cap=10_000)
 
 
+def test_vertex_array_is_enumerated_once_and_read_only(monkeypatch):
+    from swapreg import sets  # module-level `sets` names are set lists in other tests
+    calls = []
+    enumerate_ = sets._enumerate_hpoly_vertices
+    monkeypatch.setattr(sets, "_enumerate_hpoly_vertices",
+                        lambda G, h: calls.append(1) or enumerate_(G, h))
+    hp = HPolytope(*Ball(math.inf, 2).hrep())
+    image = LinearImage(np.array([[2.0, 1.0], [0.0, 1.0]]), hp)
+    first = image.vertex_array()
+    assert image.vertex_array() is first and hp.vertex_array() is hp.vertex_array()
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        first[0, 0] = 5.0  # callers must copy before writing
+    with pytest.raises(VertexBlowup):  # failures are not cached: raised on each call
+        hp.vertex_array(cap=3)
+    with pytest.raises(VertexBlowup):
+        hp.vertex_array(cap=3)
+    assert len(calls) == 3
+    assert hp.vertex_array().shape == (4, 2)
+    assert Ball(math.inf, 2).vertex_array() is not Ball(math.inf, 2).vertex_array()
+
+
 def test_hpolytope_vertex_enumeration_matches_cube():
     G, h = Ball(math.inf, 3).hrep()
     hp = HPolytope(G, h)
