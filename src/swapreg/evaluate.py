@@ -1,16 +1,31 @@
 """Exact and certified regret evaluators.
 
-Linear swap regret is computed as an LP over affine endomorphisms (M, a):
-feasibility of phi(p) = M p + a is enforced at the vertices of the strategy
-set, which is exact for polytopes because affine maps preserve convex hulls.
-Memberships of the image points are encoded compactly per variant (auxiliary
-absolute-value variables for cross-polytopes, facet rows for H-polytopes,
-sampled directions plus post-hoc certification for Euclidean balls), so the
-LPs stay desk-scale even when a facet enumeration would blow up.
+Linear swap regret is computed as an LP over affine endomorphisms (M, a) of
+the strategy set P, in one of two exact encodings of M P + a in P:
+
+- vertex form: one membership block per vertex v of P, forcing M v + a into
+  P (exact for polytopes because affine maps preserve convex hulls).
+  Memberships are encoded compactly per variant: auxiliary absolute-value
+  variables for cross-polytopes, facet rows for H-polytopes, convex weights
+  for V-polytopes.
+- facet form: one block per facet (g, h) of P, bounding the support
+  function, h_P(M^T g) + g.a <= h, through the epigraph rows of h_P
+  (l1 norms for cubes, max norms for cross-polytopes, maxima over the
+  vertices of simplices and V-polytopes, sums over product factors,
+  transposes for linear images, LP duality for H-polytopes).
+
+The facet form is taken when P has fewer facets than vertices, both counted
+from the set's structure: products (the vertex counts of the factors
+multiply, their facet counts add), cubes of dimension >= 3 and their linear
+images.  Cross-polytopes, simplices, V- and H-polytopes and the square keep
+the vertex form.  Euclidean balls use sampled directions and are certified
+afterwards in closed form.  Either way the returned deviation is certified
+at the vertices of P, and an uncertified one is logged as a warning.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +40,8 @@ __all__ = ["PlayHistory", "AffineDeviation", "RegretReport",
            "linear_swap_regret", "external_regret", "app_loss_certificate",
            "polydim_regret_lower", "extremal_endomorphism", "make_report",
            "max_norm_affine_over_ball"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -154,17 +171,8 @@ def _membership_block(target: ConvexSet, C: np.ndarray, c0: np.ndarray) -> dict:
                     aux_bounds=[(0.0, None)] * m, certified=True)
 
     if isinstance(target, Product):
-        blocks = []
-        offset = 0
-        for f in target.factors:
-            blocks.append(_membership_block(f, C[offset:offset + f.dim], c0[offset:offset + f.dim]))
-            offset += f.dim
-        a_ub, bub, a_eq, beq, bounds, certified = _stack_blocks(blocks, n_x)
-        if a_eq is None:
-            a_eq, beq = np.zeros((0, a_ub.shape[1])), np.zeros(0)
-        return dict(aub_x=a_ub[:, :n_x], aub_a=a_ub[:, n_x:], bub=bub,
-                    aeq_x=a_eq[:, :n_x], aeq_a=a_eq[:, n_x:], beq=beq,
-                    aux_bounds=bounds[n_x:], certified=certified)
+        return _merged_block([_membership_block(f, C[s], c0[s])
+                              for f, s in zip(target.factors, target.slices())], n_x)
 
     if isinstance(target, LinearImage):
         return _membership_block(target.inner, target.inverse @ C, target.inverse @ c0)
@@ -172,8 +180,63 @@ def _membership_block(target: ConvexSet, C: np.ndarray, c0: np.ndarray) -> dict:
     raise RepresentationMissing(f"no membership encoding for {type(target).__name__}")
 
 
+def _support_block(K: ConvexSet, Y: np.ndarray) -> dict:
+    """Epigraph rows s >= h_K(Y x) of the support function of `K`.
+
+    Same dict shape as `_membership_block`, plus `s_a`: the coefficients of
+    s = s_a @ aux on the block's auxiliaries.  Exact: for every x the least
+    s the rows allow is h_K(Y x) = max_{z in K} <Y x, z>.
+    """
+    n_x = Y.shape[1]
+    d = K.dim
+    empty_x = np.zeros((0, n_x))
+
+    def block(aub_x, aub_a, aux_bounds, s_a, aeq_x=empty_x, aeq_a=None):
+        n_aux = len(aux_bounds)
+        return dict(aub_x=aub_x, aub_a=aub_a, bub=np.zeros(aub_x.shape[0]),
+                    aeq_x=aeq_x,
+                    aeq_a=np.zeros((0, n_aux)) if aeq_a is None else aeq_a,
+                    beq=np.zeros(aeq_x.shape[0]), aux_bounds=aux_bounds,
+                    certified=True, s_a=np.asarray(s_a, dtype=float))
+
+    if isinstance(K, Ball) and K.p == math.inf:
+        # s = r sum t, t_i >= |y_i|
+        return block(np.vstack([Y, -Y]), np.vstack([-np.eye(d), -np.eye(d)]),
+                     [(0.0, None)] * d, np.full(d, K.radius))
+
+    if isinstance(K, Ball) and K.p == 1.0:
+        # s >= r |y_i|
+        return block(K.radius * np.vstack([Y, -Y]), -np.ones((2 * d, 1)),
+                     [(0.0, None)], [1.0])
+
+    if isinstance(K, Simplex):
+        # s >= 0 (its bound) and s >= y_i
+        return block(Y, -np.ones((d, 1)), [(0.0, None)], [1.0])
+
+    if isinstance(K, VPolytope):
+        V = K.vertices
+        return block(V @ Y, -np.ones((V.shape[0], 1)), [(None, None)], [1.0])
+
+    if isinstance(K, HPolytope):
+        # LP duality: h_K(y) = min h.lam  s.t.  G^T lam = y, lam >= 0
+        m = K.normals.shape[0]
+        return block(empty_x, np.zeros((0, m)), [(0.0, None)] * m, K.offsets,
+                     aeq_x=-Y, aeq_a=K.normals.T)
+
+    if isinstance(K, Product):
+        blocks = [_support_block(f, Y[s]) for f, s in zip(K.factors, K.slices())]
+        merged = _merged_block(blocks, n_x)
+        merged["s_a"] = np.concatenate([bl["s_a"] for bl in blocks])
+        return merged
+
+    if isinstance(K, LinearImage):
+        return _support_block(K.inner, K.matrix.T @ Y)
+
+    raise RepresentationMissing(f"no support-function encoding for {type(K).__name__}")
+
+
 def _stack_blocks(blocks: list, n_x: int):
-    """Stack membership blocks that share the variables x into one LP.
+    """Stack membership or support blocks that share the variables x into one LP.
 
     Columns are x first, then each block's auxiliaries in block order.
     Returns (a_ub, b_ub, a_eq, b_eq, bounds, certified), with a_eq and b_eq
@@ -206,6 +269,62 @@ def _stack_blocks(blocks: list, n_x: int):
         r_eq += re
         a_off += nb
     return a_ub, b_ub, a_eq, b_eq, bounds, all(bl["certified"] for bl in blocks)
+
+
+def _merged_block(blocks: list, n_x: int) -> dict:
+    """Blocks on the same x stacked into one block (for product sets)."""
+    a_ub, bub, a_eq, beq, bounds, certified = _stack_blocks(blocks, n_x)
+    if a_eq is None:
+        a_eq, beq = np.zeros((0, a_ub.shape[1])), np.zeros(0)
+    return dict(aub_x=a_ub[:, :n_x], aub_a=a_ub[:, n_x:], bub=bub,
+                aeq_x=a_eq[:, :n_x], aeq_a=a_eq[:, n_x:], beq=beq,
+                aux_bounds=bounds[n_x:], certified=certified)
+
+
+def _face_counts(K: ConvexSet) -> tuple[int, int] | None:
+    """(facets, vertices) of K counted from its structure, without
+    enumerating; None where a count would need an enumeration (the facets
+    of a V-polytope, the vertices of an H-polytope) or does not exist."""
+    if isinstance(K, Ball) and K.p == math.inf:
+        return 2 * K.dim, 2 ** K.dim
+    if isinstance(K, Ball) and K.p == 1.0:
+        return 2 ** K.dim, 2 * K.dim
+    if isinstance(K, Simplex):
+        return K.dim + 1, K.dim + 1
+    if isinstance(K, LinearImage):
+        return _face_counts(K.inner)
+    if isinstance(K, Product):
+        counts = [_face_counts(f) for f in K.factors]
+        if None in counts:
+            return None
+        return sum(f for f, _ in counts), math.prod(v for _, v in counts)
+    return None
+
+
+def _uses_facet_form(pset: ConvexSet) -> bool:
+    """Whether the regret LP is written per facet rather than per vertex."""
+    counts = _face_counts(pset)
+    return counts is not None and counts[0] < counts[1]
+
+
+def _facet_blocks(pset: ConvexSet, n_x: int, include_affine: bool) -> list:
+    """One block h_P(M^T g) + g.a <= h per facet (g, h) of P; x = (vec M, a)."""
+    d = pset.dim
+    G, h = pset.hrep()
+    col = np.arange(d * d)  # x[i d + j] = M[i, j] enters (M^T g)_j with weight g_i
+    blocks = []
+    for g, h_k in zip(G, h):
+        Y = np.zeros((d, n_x))
+        Y[col % d, col] = np.repeat(g, d)  # Y x = M^T g
+        bl = _support_block(pset, Y)
+        row_x = np.zeros((1, n_x))
+        if include_affine:
+            row_x[0, d * d:] = g
+        bl["aub_x"] = np.vstack([bl["aub_x"], row_x])
+        bl["aub_a"] = np.vstack([bl["aub_a"], bl["s_a"][None, :]])
+        bl["bub"] = np.append(bl["bub"], h_k)
+        blocks.append(bl)
+    return blocks
 
 
 def _source_points(pset: ConvexSet) -> tuple[np.ndarray, bool]:
@@ -276,23 +395,28 @@ def extremal_endomorphism(pset: ConvexSet, w_mat: np.ndarray,
                           include_affine: bool = True):
     """max <(w_mat, w_vec), (M, a)> over affine endomorphisms of `pset`.
 
-    Returns (value, AffineDeviation).  Feasibility is certified exactly for
-    polytopal sets; for Euclidean balls the LP uses sampled directions and
-    the result is then certified (or not) by the closed-form ball maximum.
+    Returns (value, AffineDeviation).  The LP is written per facet or per
+    vertex of `pset`, whichever it has fewer of (see the module docstring).
+    Feasibility is certified exactly for polytopal sets; for Euclidean balls
+    the LP uses sampled directions and the result is then certified (or not)
+    by the closed-form ball maximum.  An uncertified result is logged.
     """
     d = pset.dim
     w_mat = np.asarray(w_mat, dtype=float)
     n_x = d * d + (d if include_affine else 0)
-    sources, exact_sources = _source_points(pset)
-
-    blocks = []
-    for v in sources:
-        C = np.zeros((d, n_x))
-        for i in range(d):
-            C[i, i * d:(i + 1) * d] = v
-            if include_affine:
-                C[i, d * d + i] = 1.0
-        blocks.append(_membership_block(pset, C, np.zeros(d)))
+    if _uses_facet_form(pset):
+        blocks = _facet_blocks(pset, n_x, include_affine)
+        sources, exact_sources = pset.vertex_array(), True
+    else:
+        sources, exact_sources = _source_points(pset)
+        blocks = []
+        for v in sources:
+            C = np.zeros((d, n_x))
+            for i in range(d):
+                C[i, i * d:(i + 1) * d] = v
+                if include_affine:
+                    C[i, d * d + i] = 1.0
+            blocks.append(_membership_block(pset, C, np.zeros(d)))
 
     a_ub, b_ub, a_eq, b_eq, bounds, blocks_certified = _stack_blocks(blocks, n_x)
 
@@ -313,6 +437,10 @@ def extremal_endomorphism(pset: ConvexSet, w_mat: np.ndarray,
         certified = reach <= pset.radius + 1e-7
     elif certified:
         certified = all(pset.contains(M @ v + a, 1e-6) for v in sources)
+    if not certified:
+        log.warning("extremal endomorphism of a %s in dimension %d is not certified: "
+                    "it may map points outside the set, so its value is no certified "
+                    "regret", type(pset).__name__, d)
     return float(-sol.value), AffineDeviation(M, a, certified)
 
 

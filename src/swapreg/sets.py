@@ -290,7 +290,7 @@ class Simplex(ConvexSet):
         return {"type": "simplex", "dim": self.dim}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VPolytope(ConvexSet):
     """Convex hull of an explicit vertex list."""
 
@@ -397,7 +397,7 @@ class VPolytope(ConvexSet):
         return {"type": "vpolytope", "vertices": self.vertices.tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HPolytope(ConvexSet):
     """Bounded intersection of halfspaces {x : <g_i, x> <= h_i}."""
 
@@ -605,7 +605,7 @@ class Product(ConvexSet):
         return {"type": "product", "factors": [f.to_spec() for f in self.factors]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearImage(ConvexSet):
     """Image {A x : x in inner} of a set under an invertible matrix."""
 

@@ -1,18 +1,22 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from swapreg import engine
-from swapreg.adversary import IidVertexAdversary
+from swapreg import engine, evaluate
+from swapreg.adversary import CombinedAdversary, IidVertexAdversary, combined_certified_regret
 from swapreg.errors import NumericalFailure
 from swapreg.evaluate import (PlayHistory, app_loss_certificate, external_regret,
                               extremal_endomorphism, linear_swap_regret,
                               make_report, max_norm_affine_over_ball,
                               polydim_regret_lower)
 from swapreg.polydim import monomial_map, poly_run
-from swapreg.sets import Ball, LinearImage
+from swapreg.sets import Ball, HPolytope, LinearImage, Product, Simplex, VPolytope
 
 RNG = np.random.default_rng(31)
 
@@ -149,6 +153,126 @@ def test_ball2_endomorphism_certification():
         # truthful either way and the overshoot stays modest
         assert reach <= 1.0 + 0.25
         assert dev.certified == (reach <= 1.0 + 1e-7)
+
+
+def test_uncertified_deviation_logs_one_warning(caplog):
+    w_mat = np.random.default_rng(5).normal(size=(2, 2))
+    with caplog.at_level(logging.WARNING, logger="swapreg.evaluate"):
+        _, dev = extremal_endomorphism(Ball(2.0, 2), w_mat, np.zeros(2))
+    assert not dev.certified
+    warnings = [r for r in caplog.records if r.name == "swapreg.evaluate"]
+    assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+    assert "not certified" in warnings[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="swapreg.evaluate"):
+        _, dev = extremal_endomorphism(Ball(math.inf, 3), np.ones((3, 3)))
+    assert dev.certified and not caplog.records
+
+
+def test_encoding_follows_facet_and_vertex_counts():
+    combined = CombinedAdversary.strategy_set(3)
+    facet_form = [Ball(math.inf, 3), Ball(math.inf, 8), combined,
+                  CombinedAdversary.strategy_set(2), Product((Simplex(2), Ball(math.inf, 2))),
+                  LinearImage(2.0 * np.eye(6), combined)]
+    vertex_form = [Ball(math.inf, 1), Ball(math.inf, 2), Ball(1.0, 3), Ball(2.0, 3),
+                   Simplex(3), VPolytope(Ball(math.inf, 3).vertex_array()),
+                   HPolytope(*Ball(math.inf, 3).hrep()), Product((Ball(1.0, 2), Ball(2.0, 2))),
+                   LinearImage(2.0 * np.eye(3), Ball(1.0, 3))]
+    assert all(evaluate._uses_facet_form(K) for K in facet_form)
+    assert not any(evaluate._uses_facet_form(K) for K in vertex_form)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_lp(pset, w_mat, w_vec, facet_form):
+    """The LP `extremal_endomorphism` builds in the chosen encoding, unsolved."""
+    captured = []
+
+    def capture(problem):
+        captured.append(problem)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evaluate, "_uses_facet_form", lambda K: facet_form)
+        m.setattr(evaluate, "solve_lp", capture)
+        with pytest.raises(_Captured):
+            extremal_endomorphism(pset, w_mat, w_vec)
+    return captured[0]
+
+
+def test_combined_set_lp_is_written_per_facet():
+    pset = CombinedAdversary.strategy_set(3)
+    w_mat, w_vec = np.ones((6, 6)), np.ones(6)
+    assert _captured_lp(pset, w_mat, w_vec, facet_form=True).a_ub.shape == (182, 98)
+    assert _captured_lp(pset, w_mat, w_vec, facet_form=False).a_ub.shape == (624, 186)
+
+
+def test_strict_retry_case_solves_in_the_facet_form(caplog):
+    # Solving this objective in the 624-row vertex form hits a singular basis
+    # and a strict retry of 15-20 s; the slow strict-mode refactorization
+    # cadence itself remains in `lp`.
+    optimize = pytest.importorskip("scipy.optimize")
+    pset = CombinedAdversary.strategy_set(3)
+    w_mat = np.random.default_rng(5).normal(size=(6, 6))
+    w_vec = np.random.default_rng(6).normal(size=6)
+    with caplog.at_level(logging.WARNING, logger="swapreg.lp"):
+        value, dev = extremal_endomorphism(pset, w_mat, w_vec)
+    assert dev.certified
+    assert not [r for r in caplog.records if r.name == "swapreg.lp"]
+    old = _captured_lp(pset, w_mat, w_vec, facet_form=False)
+    ref = optimize.linprog(old.objective, old.a_ub, old.b_ub, old.a_eq, old.b_eq,
+                           bounds=old.bounds, method="highs")
+    assert ref.status == 0
+    assert abs(value - -ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+
+_ENCODING_CASES = {
+    **{f"cube{d}": Ball(math.inf, d) for d in range(2, 7)},
+    "combined2": CombinedAdversary.strategy_set(2),
+    "combined3": CombinedAdversary.strategy_set(3),
+    "image_of_product": LinearImage(
+        np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.5, 0.0, 1.0, 0.5], [0.0, 0.0, 0.0, 1.5]]),
+        Product((Ball(1.0, 2), Ball(math.inf, 2)))),
+    "hpolytope_cube": HPolytope(*Ball(math.inf, 3).hrep()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODING_CASES))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_facet_and_vertex_forms_agree(name, data):
+    pset = _ENCODING_CASES[name]
+    d = pset.dim
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    w_mat = data.draw(arrays(float, (d, d), elements=unit))
+    w_vec = data.draw(arrays(float, d, elements=unit))
+    include_affine = data.draw(st.booleans())
+    results = []
+    for facet_form in (True, False):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(evaluate, "_uses_facet_form", lambda K: facet_form)
+            results.append(extremal_endomorphism(pset, w_mat, w_vec if include_affine else None,
+                                                 include_affine=include_affine))
+    (v_facet, dev_facet), (v_vertex, dev_vertex) = results
+    assert abs(v_facet - v_vertex) <= 1e-8 * max(1.0, abs(v_vertex))
+    for dev in (dev_facet, dev_vertex):
+        assert dev.certified
+        assert all(pset.contains(dev.M @ v + dev.a, 1e-6) for v in pset.vertex_array())
+
+
+def test_d4_combined_certified_regret_below_exact_regret():
+    # the d=4 vertex-form LP (2176 rows) did not finish; the facet form is 408 rows
+    d, T = 4, 60
+    pset, lset = CombinedAdversary.strategy_set(d), CombinedAdversary.loss_set(d)
+    adv = CombinedAdversary(d, T, seed=0)
+    traj = engine.run_preconditioned(pset, lset, T, adv, solver="fpl", fpl_iters=64, seed=0)
+    _, plays, losses = traj.original_frame()
+    exact, dev = linear_swap_regret(PlayHistory(pset, lset, plays, losses), validate=False)
+    assert dev.certified
+    assert combined_certified_regret(adv)["value"] <= exact + 1e-6
 
 
 def test_max_norm_affine_over_ball_matches_grid():

@@ -129,19 +129,20 @@ def test_leaving_row_matches_the_sorted_rule():
 
 
 def _endomorphism_lp():
-    """The 624-row LP `extremal_endomorphism` solves on the d=3 combined set."""
+    """The 624-row vertex-form regret LP of the d=3 combined set: one
+    membership block per vertex v, forcing M v + a into the set."""
     rng = np.random.default_rng(0)
     w_mat, w_vec = rng.normal(size=(6, 6)), rng.normal(size=6)
-    captured = []
-
-    def capture(problem):
-        captured.append(problem)
-        return solve_lp(problem)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(evaluate, "solve_lp", capture)
-        evaluate.extremal_endomorphism(CombinedAdversary.strategy_set(3), w_mat, w_vec)
-    (problem,) = captured
+    pset = CombinedAdversary.strategy_set(3)
+    d, n_x = 6, 42
+    blocks = []
+    for v in pset.vertex_array():
+        C = np.hstack([np.kron(np.eye(d), v[None, :]), np.eye(d)])  # C x = M v + a
+        blocks.append(evaluate._membership_block(pset, C, np.zeros(d)))
+    a_ub, b_ub, a_eq, b_eq, bounds, _ = evaluate._stack_blocks(blocks, n_x)
+    objective = np.zeros(a_ub.shape[1])
+    objective[:n_x] = -np.concatenate([w_mat.ravel(), w_vec])
+    problem = LpProblem(objective, a_ub, b_ub, a_eq, b_eq, bounds)
     assert problem.a_ub.shape[0] == 624
     return problem
 

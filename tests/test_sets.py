@@ -128,6 +128,19 @@ def test_vertex_array_is_enumerated_once_and_read_only(monkeypatch):
     assert Ball(math.inf, 2).vertex_array() is not Ball(math.inf, 2).vertex_array()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: VPolytope(Ball(math.inf, 2).vertex_array()),
+    lambda: HPolytope(*Ball(math.inf, 2).hrep()),
+    lambda: LinearImage(np.array([[2.0, 1.0], [0.0, 1.0]]), Ball(1.0, 2)),
+], ids=["vpolytope", "hpolytope", "linear_image"])
+def test_array_backed_sets_compare_and_hash_by_identity(make):
+    a, b = make(), make()  # equal contents, distinct instances
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert a in [b, a] and b not in [a]
+    assert {a: 1, b: 2}[a] == 1
+
+
 def test_hpolytope_vertex_enumeration_matches_cube():
     G, h = Ball(math.inf, 3).hrep()
     hp = HPolytope(G, h)
